@@ -3,17 +3,13 @@
 The idle-heavy benchmark (``bench_kernel_perf.py`` / BENCH_kernel.json)
 tracks what quiescence fast-forward saves; this one tracks the opposite
 regime — bursts dense enough that per-object dispatch dominates — which
-is what the SoA batch kernels collapse.  Two measurements:
-
-* **dense**: one simulation per architecture, bursts of ``--burst``
-  messages every ``--gap`` cycles with large payloads, timed under both
-  engines.  Delivered-message counts must match exactly (the engines
-  are bit-identical; the full proof lives in
-  ``tests/sim/test_vec_equivalence.py``).
-* **fleet**: a ``--seeds``-seed Monte-Carlo sweep of the canonical
-  burst workload, the seed-major batched runner
-  (:func:`repro.analysis.batch.run_seed_fleet`) against the
-  process-pool comparator (one task per seed).
+is what the SoA batch kernels collapse.  One simulation per
+architecture that installs a kernel, bursts of messages with large
+payloads every few thousand cycles, timed under both engines.
+Delivered-message counts must match exactly (the engines are
+bit-identical; the full proof lives in
+``tests/sim/test_vec_equivalence.py``).  BUS-COM, RMBoC and CoNoChi
+run the same object tick on both engines, so they are not timed here.
 
 ``--write BENCH_busy.json`` persists the results; ``--check`` exits
 nonzero if vec is slower than object on any dense workload (the CI
@@ -34,11 +30,11 @@ import random
 import sys
 import time
 
-from repro.analysis.batch import run_seed_fleet, run_seed_fleet_pool
 from repro.arch import build_architecture
 from repro.sim.vec import make_simulator
 
-DENSE_ARCHS = ("dynoc", "staticmesh", "sharedbus", "buscom", "rmboc")
+#: the architectures that install a batch kernel on the vec engine
+DENSE_ARCHS = ("dynoc", "staticmesh", "sharedbus")
 
 
 def _run_dense(key: str, engine: str, cycles: int, gap: int, burst: int,
@@ -92,34 +88,10 @@ def bench_dense(archs, cycles, gap, burst, repeats):
     return rows
 
 
-def bench_fleet(arch, seeds):
-    batched = run_seed_fleet(arch, range(seeds), engine="vec")
-    pooled = run_seed_fleet_pool(arch, range(seeds), engine="vec")
-    if ([r.key() for r in batched.results]
-            != [r.key() for r in pooled.results]):
-        raise AssertionError("fleet runners disagree on per-seed results")
-    row = {
-        "arch": arch,
-        "seeds": seeds,
-        "batched_seconds": round(batched.wall_seconds, 3),
-        "pool_seconds": round(pooled.wall_seconds, 3),
-        "batched_seeds_per_second":
-            round(seeds / batched.wall_seconds, 2),
-        "pool_seeds_per_second": round(seeds / pooled.wall_seconds, 2),
-        "batched_speedup":
-            round(pooled.wall_seconds / batched.wall_seconds, 3),
-    }
-    print(f"fleet {arch}: {seeds} seeds  "
-          f"batched {row['batched_seconds']}s  "
-          f"pool {row['pool_seconds']}s  "
-          f"({row['batched_speedup']:.2f}x)")
-    return row
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true",
-                    help="CI scale: fewer cycles, seeds and repeats")
+                    help="CI scale: fewer cycles and repeats")
     ap.add_argument("--write", metavar="PATH",
                     help="write results JSON to PATH")
     ap.add_argument("--check", action="store_true",
@@ -127,20 +99,14 @@ def main(argv=None) -> int:
                          "dense workload")
     ap.add_argument("--archs", nargs="+", default=list(DENSE_ARCHS),
                     choices=DENSE_ARCHS)
-    ap.add_argument("--seeds", type=int, default=None,
-                    help="fleet sweep size (default 1000, smoke 100)")
-    ap.add_argument("--fleet-arch", default="dynoc")
     args = ap.parse_args(argv)
 
     if args.smoke:
         cycles, gap, burst, repeats = 10_000, 5_000, 100, 1
-        seeds = args.seeds or 100
     else:
         cycles, gap, burst, repeats = 30_000, 5_000, 150, 2
-        seeds = args.seeds or 1_000
 
     dense = bench_dense(args.archs, cycles, gap, burst, repeats)
-    fleet = bench_fleet(args.fleet_arch, seeds)
 
     doc = {
         "schema": "repro.bench_busy/1",
@@ -154,7 +120,6 @@ def main(argv=None) -> int:
             "repeats": repeats,
         },
         "dense": dense,
-        "fleet": fleet,
     }
     if args.write:
         with open(args.write, "w") as fh:

@@ -277,11 +277,16 @@ class CommArchitecture:
 
     # -- vectorized backend (repro.sim.vec) --------------------------------
     def _init_vec(self, sim: Optional[Simulator] = None) -> None:
-        """Install this architecture's batch kernel when running on a
-        vectorizing simulator.  Called at the *end* of a subclass
-        ``__init__`` (the kernel swaps hot containers in place); a
-        subclass without a kernel (``_make_vec_kernel`` returning None)
-        simply stays on the object path — hybrid execution.
+        """Install this architecture's batch kernel if it may run one.
+        Called at the *end* of a subclass ``__init__`` (the kernel swaps
+        hot containers in place).
+
+        The one install rule: a kernel runs only on a vectorizing
+        simulator with no telemetry attached.  Telemetry samples every
+        cycle, so an observed kernel could never batch a stretch and
+        would only add array overhead; the object tick runs instead,
+        inside the same cycle loop (hybrid execution), as it does for a
+        subclass without a kernel (``_make_vec_kernel`` returning None).
 
         Architectures that also inherit :class:`~repro.sim.Component`
         pass their simulator explicitly: ``Component.__init__`` resets
@@ -290,7 +295,7 @@ class CommArchitecture:
         if sim is not None:
             self._sim = sim
         sim = self._sim
-        if getattr(sim, "vectorized", False):
+        if getattr(sim, "vectorized", False) and not sim.telemetering:
             kernel = self._make_vec_kernel()
             if kernel is not None:
                 self.vec = kernel

@@ -276,7 +276,7 @@ class _SharedBusVecKernel(BatchKernel):
         self._in_burst = False
         hint = arch._tick_object(sim)
         if (hint is None and arch._current is not None
-                and not sim.telemetering and arch._done_at > now + 1):
+                and arch._done_at > now + 1):
             self._in_burst = True
             return arch._done_at
         return hint

@@ -479,10 +479,10 @@ class _DyNoCVecKernel(BatchKernel):
     """Compiled tick for DyNoC/StaticMesh S-XY transport + ejection.
 
     Swaps the three hot containers for SoA stores, extracts due headers
-    and deliveries with one masked scan each, and — with telemetry off —
-    sleeps through busy stretches between events, back-filling the
-    per-cycle link-parallelism samples from the occupancy intervals on
-    wake-up (distinct-packet counts via interval merge + prefix sum).
+    and deliveries with one masked scan each, and sleeps through busy
+    stretches between events, back-filling the per-cycle
+    link-parallelism samples from the occupancy intervals on wake-up
+    (distinct-packet counts via interval merge + prefix sum).
     Routing itself stays the object code: it runs only at header-arrival
     cycles, which are identical in both backends.
     """
@@ -520,16 +520,10 @@ class _DyNoCVecKernel(BatchKernel):
         self._last = now
         tx.prune(now)
         arch._note_parallelism(tx.count_distinct_at(now))
-        if sim.telemetering:
-            sim.telemetry.queue_depth(now, "dynoc.fabric",
-                                      len(arch._arrivals))
         for _, msg in arch._deliveries.pop_due(now):
             arch._deliver(msg)
         for _, pkt, coord in arch._arrivals.pop_due(now):
             arch._route(pkt, coord, now)
-        if sim.telemetering:
-            # telemetry samples per-tick queue depths: stay per-cycle
-            return arch._quiescence(now)
         nxt = arch._arrivals.min_ready()
         nd = arch._deliveries.min_ready()
         if nd is not None and (nxt is None or nd < nxt):

@@ -253,7 +253,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds:
-        # fleet mode: N-seed batched Monte-Carlo run per architecture
+        # fleet mode: N-seed Monte-Carlo run per architecture
         from repro.analysis.batch import render_fleet, run_seed_fleet
 
         seeds = range(args.seed_start, args.seed_start + args.seeds)
@@ -707,8 +707,8 @@ def make_parser() -> argparse.ArgumentParser:
                         "or object; results are bit-identical)")
     p.add_argument("--seeds", type=int, default=0, metavar="N",
                    help="fleet mode: run N seeded Monte-Carlo runs per "
-                        "architecture in one batched process instead of "
-                        "the width/payload grid")
+                        "architecture in one process instead of the "
+                        "width/payload grid")
     p.add_argument("--seed-start", type=int, default=0, metavar="S",
                    help="first seed of the fleet (fleet mode runs "
                         "seeds S..S+N-1; default 0)")

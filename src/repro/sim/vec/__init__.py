@@ -1,18 +1,22 @@
 """Struct-of-arrays (SoA) backend for the synchronous kernel.
 
 ``repro.sim.vec`` holds the vectorized counterpart of the object
-kernel: contiguous numpy arrays with integer handles for the hot
-structures (wires, pulse wires, FIFOs, link/router occupancy intervals,
-timed event queues, word countdowns), a :class:`VecSimulator` that
-architectures detect to install their "compiled tick" batch kernels,
-and the engine-selection helpers behind ``repro sweep --engine=vec``.
+kernel: a :class:`VecSimulator` on which architectures install their
+"compiled tick" batch kernels, the list-compatible SoA stores those
+kernels swap in (link occupancy intervals, timed event queues), and
+the engine-selection helpers behind ``repro sweep --engine=vec``.
+
+Only kernels that pay for themselves on the dense busy path exist:
+DyNoC/StaticMesh and the shared bus.  A kernel installs only on a
+vectorizing simulator with no telemetry attached (telemetry samples
+every cycle, which defeats stretch batching); every other component —
+BUS-COM, RMBoC, CoNoChi, and all components of an observed run — runs
+its object tick inside the same cycle loop (hybrid execution).
 
 The backend is a pure optimization with the same golden-equivalence
 guarantee as the activity-driven fast path: a vec run is bit-identical
 to an object run in :meth:`~repro.sim.stats.StatsRegistry.snapshot`
 and in trace fingerprints (see ``tests/sim/test_vec_equivalence.py``).
-Components without a batch kernel fall back transparently to the
-object kernel inside the same cycle loop (hybrid execution).
 
 numpy is optional at import time: ``pip install repro[fast]`` pulls it
 in explicitly, and :data:`HAVE_NUMPY`/:func:`require_numpy` gate every
@@ -49,27 +53,16 @@ from repro.sim.vec.engine import (  # noqa: E402
     make_simulator,
 )
 from repro.sim.vec.kernels import BatchKernel  # noqa: E402
-from repro.sim.vec.store import (  # noqa: E402
-    CountdownSet,
-    EventQueue,
-    FifoBank,
-    IntervalSet,
-    PulseBank,
-    WireBank,
-)
+from repro.sim.vec.store import EventQueue, IntervalSet  # noqa: E402
 
 __all__ = [
     "BatchKernel",
-    "CountdownSet",
     "ENGINE_ENV",
     "ENGINES",
     "EventQueue",
-    "FifoBank",
     "HAVE_NUMPY",
     "IntervalSet",
-    "PulseBank",
     "VecSimulator",
-    "WireBank",
     "engine_default",
     "make_simulator",
     "require_numpy",

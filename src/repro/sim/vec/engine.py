@@ -4,16 +4,18 @@
 three-phase cycle, same activity-driven fast path, same commit
 discipline.  The only difference is a flag: architectures probe
 ``getattr(sim, "vectorized", False)`` at construction time and, when it
-is set, install their compiled-tick batch kernel (swapping hot plain
-containers for the SoA structures in :mod:`repro.sim.vec.store`).
-Components that never install a kernel keep running their object tick
-inside the very same cycle loop — hybrid execution — so quiescence
-fast-forward, telemetry guards, the sanitizer and fault hooks all keep
-working unchanged.
+is set and no telemetry is attached, install their compiled-tick batch
+kernel (swapping hot plain containers for the SoA structures in
+:mod:`repro.sim.vec.store`).  Components that install no kernel keep
+running their object tick inside the very same cycle loop — hybrid
+execution — so quiescence fast-forward, the sanitizer and fault hooks
+all keep working unchanged.
 
 Engine choice is explicit (``make_simulator(engine=...)``, the CLI's
 ``--engine`` flags) or ambient via the ``REPRO_SIM_ENGINE`` environment
-variable; the default stays the pure-Python object kernel.
+variable; the default stays the pure-Python object kernel.  Both paths
+go through :func:`resolve_engine`, so an unknown name raises
+:class:`~repro.sim.engine.SimError` wherever it comes from.
 """
 
 from __future__ import annotations
@@ -30,22 +32,25 @@ ENGINE_ENV = "REPRO_SIM_ENGINE"
 ENGINES: Tuple[str, ...] = ("object", "vec")
 
 
-def engine_default() -> str:
-    """The engine used when callers pass ``engine=None``."""
-    name = os.environ.get(ENGINE_ENV, "object").strip().lower()
-    return name if name in ENGINES else "object"
-
-
 def resolve_engine(engine: Optional[str]) -> str:
-    """Validate an explicit engine name (None means the ambient default)."""
+    """Validate an engine name; None means the ambient default
+    (:data:`ENGINE_ENV`, else ``object``), validated the same way."""
+    source = ""
     if engine is None:
-        return engine_default()
+        engine = os.environ.get(ENGINE_ENV, "object")
+        source = f" (from {ENGINE_ENV})"
     name = engine.strip().lower()
     if name not in ENGINES:
         raise SimError(
-            f"unknown engine {engine!r}: expected one of {', '.join(ENGINES)}"
+            f"unknown engine {engine!r}{source}: expected one of "
+            f"{', '.join(ENGINES)}"
         )
     return name
+
+
+def engine_default() -> str:
+    """The engine used when callers pass ``engine=None``."""
+    return resolve_engine(None)
 
 
 class VecSimulator(Simulator):
@@ -57,14 +62,31 @@ class VecSimulator(Simulator):
     (the documented pure-Python fallback) instead of failing.
     ``vec_kernels`` records the installed batch kernels for
     introspection and tests.
+
+    Kernels never run observed: an architecture installs none while
+    telemetry is attached, and attaching telemetry once kernels are
+    installed raises :class:`~repro.sim.engine.SimError` — attach it
+    before building the architecture.
     """
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
         from repro.sim.vec import HAVE_NUMPY
 
+        # set before the base constructor: its new-simulator hook may
+        # attach telemetry, which consults vec_kernels
         self.vectorized = HAVE_NUMPY
         self.vec_kernels: List[object] = []
+        super().__init__(*args, **kwargs)
+
+    @Simulator.telemetry.setter
+    def telemetry(self, telemetry) -> None:
+        if telemetry is not None and self.vec_kernels:
+            raise SimError(
+                f"simulator {self.name!r} already runs batch kernels, which "
+                f"cannot record per-cycle telemetry: attach telemetry "
+                f"before building the architecture"
+            )
+        Simulator.telemetry.fset(self, telemetry)
 
     def register_vec_kernel(self, kernel: object) -> None:
         """Record a batch kernel installed by an architecture."""

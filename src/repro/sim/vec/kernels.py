@@ -15,17 +15,20 @@ dynamically by the vec==object golden-equivalence suite):
 ``VEC_SHARED``
     Class attribute: additional ``self._x`` state the object tick
     mutates that the kernel deliberately shares as-is (scalars and
-    small dicts the batch replay updates arithmetically, stats/
-    telemetry handles, RNG state).
+    small dicts the batch replay updates arithmetically, stats
+    handles, RNG state).
 
 Installation
     The architecture's ``__init__`` ends with ``self._init_vec()``
     (see :class:`repro.arch.base.CommArchitecture`); when
-    ``sim.vectorized`` is set, ``_make_vec_kernel()`` returns the
-    kernel and ``tick`` dispatches to it.  Everything outside ``tick``
-    — fault hooks, event-phase callbacks, submit paths — keeps running
-    the object code against the swapped containers, which is why the
-    SoA structures are list-compatible.
+    ``sim.vectorized`` is set and no telemetry is attached,
+    ``_make_vec_kernel()`` returns the kernel and ``tick`` dispatches
+    to it.  A kernel therefore never sees telemetry, and
+    :class:`~repro.sim.vec.VecSimulator` refuses a telemetry attach
+    once kernels are installed.  Everything outside ``tick`` — fault
+    hooks, event-phase callbacks, submit paths — keeps running the
+    object code against the swapped containers, which is why the SoA
+    structures are list-compatible.
 
 Equivalence rules
     * A kernel's ``tick`` must leave *exactly* the state and statistics
@@ -42,10 +45,6 @@ Equivalence rules
       and the object kernel is awake whenever the count is nonzero,
       so filtering zeros from a replayed stretch reproduces the object
       sample stream exactly regardless of where the object path slept.
-    * When ``sim.telemetering`` is true the kernel must fall back to
-      the object path's per-cycle hint (telemetry records per-tick
-      queue depths and link busy counts); vectorized scans inside one
-      tick remain legal.
     * Journey stamps (``sim.journeying`` — :mod:`repro.obs.journey`)
       need **no** kernel fallback: every stamp site lives on an
       object-code path (submits, grant/route/launch/serve decisions,

@@ -3,9 +3,10 @@
 The SoA backend is a pure optimization — for every architecture,
 workload, telemetry setting and fault script, a ``VecSimulator`` run
 must produce exactly the same statistics, telemetry and traces as the
-plain object kernel.  Components without a batch kernel (CoNoChi) must
-fall back transparently inside the same hybrid cycle loop, and a
-numpy-less install must degrade to the object path rather than fail.
+plain object kernel.  Components without a batch kernel (BUS-COM,
+RMBoC, CoNoChi) and every component of an observed run must fall back
+transparently inside the same hybrid cycle loop, and a numpy-less
+install must degrade to the object path rather than fail.
 """
 
 import json
@@ -14,14 +15,16 @@ import random
 import pytest
 
 from repro.arch import build_architecture
+from repro.fabric.geometry import Rect
 from repro.obs.flows import FlowTelemetry
-from repro.sim import Tracer
+from repro.sim import SimError, Tracer
 from repro.sim.vec import make_simulator
 
 #: architectures with a compiled-tick batch kernel installed
-VEC_ARCHS = ("dynoc", "staticmesh", "sharedbus", "buscom", "rmboc")
-#: the hybrid-fallback architecture: object tick inside VecSimulator
-ALL_ARCHS = VEC_ARCHS + ("conochi",)
+VEC_ARCHS = ("dynoc", "staticmesh", "sharedbus")
+#: hybrid-fallback architectures: object tick inside VecSimulator
+FALLBACK_ARCHS = ("conochi", "buscom", "rmboc")
+ALL_ARCHS = VEC_ARCHS + FALLBACK_ARCHS
 
 
 def _fingerprint(sim):
@@ -80,10 +83,11 @@ def _drive(key, engine, telemetry=False, faults=False, tracing=False,
     if telemetry:
         FlowTelemetry().attach(sim)
     arch = build_architecture(key, sim=sim, seed=seed)
-    if engine == "vec" and key in VEC_ARCHS:
+    if engine == "vec" and key in VEC_ARCHS and not telemetry:
         assert sim.vec_kernels, f"{key}: no batch kernel installed"
-    if engine == "vec" and key == "conochi":
-        assert not sim.vec_kernels  # hybrid fallback: object tick only
+    elif engine == "vec":
+        # hybrid fallback (no kernel, or an observed run): object tick
+        assert not sim.vec_kernels
     mods = list(arch.modules)
     rng = random.Random(seed)
     t = 0
@@ -106,6 +110,11 @@ def test_engines_bit_identical(key, telemetry):
     obj = _drive(key, "object", telemetry=telemetry)
     vec = _drive(key, "vec", telemetry=telemetry)
     assert obj == vec
+    if telemetry:
+        # an observed vec run takes the object tick, a bare one the
+        # kernel: the simulated statistics must not notice
+        bare = _drive(key, "vec")
+        assert vec.split("|")[0] == bare.split("|")[0]
 
 
 @pytest.mark.parametrize("key", sorted(_FAULT_SCRIPTS))
@@ -117,48 +126,76 @@ def test_engines_bit_identical_under_faults(key):
 
 @pytest.mark.parametrize("key", ("rmboc", "dynoc"))
 def test_engines_bit_identical_with_tracing(key):
-    obj = _drive(key, "object", telemetry=True, faults=True, tracing=True)
-    vec = _drive(key, "vec", telemetry=True, faults=True, tracing=True)
+    # no telemetry, so dynoc's kernel runs under tracing and faults
+    obj = _drive(key, "object", faults=True, tracing=True)
+    vec = _drive(key, "vec", faults=True, tracing=True)
     assert obj == vec
 
 
-def test_rmboc_reconfiguration_mid_run_equivalent():
-    """Detach/attach during traffic: queued messages to an unattached
-    destination pin the kernel to per-cycle mode (attach does not
-    wake), which must not perturb equivalence."""
+def test_dynoc_reconfiguration_mid_run_equivalent():
+    """Detach a module, then place a multi-PE module during traffic:
+    placement reads the kernel's swapped arrival queue and must wait
+    while headers are still routed through its region, and the routers
+    it deactivates send later packets on S-XY detours.  None of this
+    may perturb equivalence."""
 
     def drive(engine):
-        sim = make_simulator(name=f"rmboc-{engine}", engine=engine)
-        arch = build_architecture("rmboc", sim=sim, seed=3,
-                                  num_modules=6)
+        sim = make_simulator(name=f"dynoc-{engine}", engine=engine)
+        arch = build_architecture("dynoc", sim=sim, seed=3,
+                                  num_modules=4, mesh=(5, 5))
+        arch.attach("m4", rect=Rect(4, 4, 1, 1))
+        arch.attach("m5", rect=Rect(0, 4, 1, 1))
+        if engine == "vec":
+            assert sim.vec_kernels
         rng = random.Random(3)
         mods = list(arch.modules)
+
+        def send(a, s, d, p):
+            if s in a._placements and d in a._placements:
+                a.ports[s].send(d, p)
+
         t = 0
-        for _ in range(120):
+        for _ in range(200):
             t += rng.randrange(1, 30)
             src, dst = rng.sample(mods, 2)
-            sim.at(t, lambda _s, a=arch, s=src, d=dst:
-                   a.ports[s].send(d, 128) if s in a._module_xp else None)
+            sim.at(t, lambda _s, a=arch, s=src, d=dst: send(a, s, d, 128))
 
-        def try_detach(s, a=arch):
-            if "m5" not in a._module_xp:
-                return
+        tries = []
+
+        def try_place(s, a=arch):
+            tries.append(s.cycle)
             try:
-                a.detach("m5")
-            except RuntimeError:
-                s.at(s.cycle + 50, try_detach)
+                a.attach("m6", rect=Rect(1, 1, 2, 2))
+            except SimError:  # headers still routed through the region
+                s.at(s.cycle + 5, try_place)
 
-        sim.at(1_500, try_detach)
-        sim.at(2_100, lambda _s, a=arch: a.attach("m6", xp=5))
-        # traffic aimed at the detached slot, then at its replacement
+        sim.at(1_500, lambda _s, a=arch: a.detach("m5"))
+        sim.at(1_520, try_place)
+        # traffic aimed at the replacement once it is placed
         for i in range(15):
-            at = 1_550 + i * 40
-            dst = "m5" if at < 2_000 else "m6"
-            sim.at(at, lambda _s, a=arch, d=dst: a.ports["m0"].send(d, 64))
+            sim.at(2_150 + i * 40,
+                   lambda _s, a=arch: send(a, "m0", "m6", 256))
         sim.run(4_000)
+        assert len(tries) > 1 and "m6" in arch.modules
         return _fingerprint(sim)
 
     assert drive("object") == drive("vec")
+
+
+def test_late_telemetry_attach_raises():
+    """Kernels cannot record per-cycle telemetry, so attaching it after
+    they are installed fails loudly instead of recording a partial
+    stream; a vec simulator without kernels still accepts it."""
+    sim = make_simulator(name="late", engine="vec")
+    build_architecture("dynoc", sim=sim, seed=7)
+    assert sim.vec_kernels
+    with pytest.raises(SimError, match="attach telemetry before"):
+        FlowTelemetry().attach(sim)
+    assert not sim.telemetering
+    sim = make_simulator(name="late-fallback", engine="vec")
+    build_architecture("conochi", sim=sim, seed=7)
+    FlowTelemetry().attach(sim)
+    assert sim.telemetering
 
 
 def test_vec_simulator_without_numpy_degrades(monkeypatch):
@@ -187,6 +224,20 @@ def test_env_var_selects_vec_engine(monkeypatch):
     monkeypatch.setenv(ENGINE_ENV, "object")
     arch = build_architecture("sharedbus")
     assert not isinstance(arch.sim, VecSimulator)
+
+
+def test_bad_env_engine_raises(monkeypatch):
+    """An unknown REPRO_SIM_ENGINE value fails like an explicit bad
+    name instead of silently selecting the object kernel."""
+    from repro.sim.vec import ENGINE_ENV
+
+    monkeypatch.setenv(ENGINE_ENV, "vce")
+    with pytest.raises(SimError, match="vce"):
+        make_simulator(name="x")
+    with pytest.raises(SimError, match=ENGINE_ENV):
+        build_architecture("sharedbus")
+    with pytest.raises(SimError, match="vce"):
+        make_simulator(name="x", engine="vce")
 
 
 def test_explicit_engine_conflicts_with_sim():
