@@ -170,8 +170,8 @@ def run_seed_fleet(
     **workload: Any,
 ) -> FleetResult:
     """Every seed simulated in this process, seed-major (seed *i* runs
-    to completion before seed *i+1* starts), on the chosen engine —
-    ``"vec"`` by default.
+    to completion before seed *i+1* starts), under the given engine
+    name — ``"vec"`` by default, the name fleet records carry.
 
     Ledgering (opt out with ``ledger=False`` or ``REPRO_LEDGER=0``):
     fleets up to :data:`PER_SEED_LEDGER_MAX` seeds persist one fully

@@ -27,7 +27,7 @@ from repro.arch.base import set_new_arch_hook
 from repro.faults import FaultKind, FaultSchedule, inject
 from repro.faults.policies import make_policy
 from repro.sim import Simulator
-from repro.sim.vec import make_simulator
+from repro.sim.engine import make_simulator
 
 #: schema tag of the document :func:`run_chaos_sweep` emits
 CHAOS_SCHEMA = "repro.chaos/1"
@@ -120,8 +120,8 @@ def run_chaos_scenario(key: str, seed: int = 7,
                        adaptive: bool = False) -> Dict[str, Any]:
     """One architecture through its canonical fault scenario.
 
-    ``engine`` picks the simulation backend (``"object"``/``"vec"``);
-    the emitted document is engine-independent.  With ``adaptive``
+    ``engine`` names the engine (``"object"``/``"vec"``, the same
+    simulator); the emitted document is engine-independent.  With ``adaptive``
     the run watches the controller rule set, wires a
     :class:`~repro.control.loop.ControlLoop` onto the alert stream,
     and the document additionally carries the ``repro.control/1``

@@ -73,9 +73,9 @@ def run_sweep(grid: SweepGrid, max_cycles: int = 1_000_000,
               engine: str = None) -> List[SweepPoint]:
     """Run the minimal scenario at every grid point.
 
-    ``engine`` selects the simulation backend for every point
-    (``"object"``/``"vec"``; None defers to ``REPRO_SIM_ENGINE``).
-    Results are engine-independent — the vec backend is bit-identical.
+    ``engine`` names the engine for every point (``"object"``/``"vec"``;
+    None defers to ``REPRO_SIM_ENGINE``); both names run the same
+    simulator.
     """
     out: List[SweepPoint] = []
     for params in grid.points():

@@ -25,17 +25,18 @@ def build_architecture(
     """Construct an architecture with its own simulator and ``num_modules``
     attached hardware modules named ``m0`` .. ``m{n-1}``.
 
-    ``engine`` selects the simulation backend (``"object"`` or
-    ``"vec"``; None defers to ``REPRO_SIM_ENGINE``, default object) —
-    see :func:`repro.sim.vec.make_simulator`.  Extra keyword arguments
-    are forwarded to the architecture's config (e.g. ``num_buses`` for
-    the bus systems, ``mesh`` for DyNoC, ``grid`` for CoNoChi).
+    ``engine`` names the simulation engine (``"object"`` or ``"vec"``,
+    which build the same simulator; None defers to ``REPRO_SIM_ENGINE``,
+    default object) — see :func:`repro.sim.engine.make_simulator`.
+    Extra keyword arguments are forwarded to the architecture's config
+    (e.g. ``num_buses`` for the bus systems, ``mesh`` for DyNoC,
+    ``grid`` for CoNoChi).
     """
     key = name.lower().replace("-", "").replace("_", "")
     if engine is not None and "sim" in kwargs:
         raise ValueError("pass either engine= or sim=, not both")
     if "sim" not in kwargs:
-        from repro.sim.vec.engine import make_simulator, resolve_engine
+        from repro.sim.engine import make_simulator, resolve_engine
 
         resolved = resolve_engine(engine)
         if engine is not None or resolved != "object":

@@ -206,9 +206,6 @@ class CommArchitecture:
         # one dead boolean test (mirrors sim.tracing/sim.telemetering)
         self.faulting = False
         self.fault_injector: Optional[Any] = None
-        #: installed batch kernel (repro.sim.vec), or None on the
-        #: object path — subclasses dispatch their tick through it
-        self.vec: Optional[Any] = None
         if _NEW_ARCH_HOOK is not None:
             _NEW_ARCH_HOOK(self)
 
@@ -274,37 +271,6 @@ class CommArchitecture:
         """Record the number of independent transfers active this cycle."""
         if concurrent_transfers > 0:
             self._parallelism_hist.add(concurrent_transfers)
-
-    # -- vectorized backend (repro.sim.vec) --------------------------------
-    def _init_vec(self, sim: Optional[Simulator] = None) -> None:
-        """Install this architecture's batch kernel if it may run one.
-        Called at the *end* of a subclass ``__init__`` (the kernel swaps
-        hot containers in place).
-
-        The one install rule: a kernel runs only on a vectorizing
-        simulator with no telemetry attached.  Telemetry samples every
-        cycle, so an observed kernel could never batch a stretch and
-        would only add array overhead; the object tick runs instead,
-        inside the same cycle loop (hybrid execution), as it does for a
-        subclass without a kernel (``_make_vec_kernel`` returning None).
-
-        Architectures that also inherit :class:`~repro.sim.Component`
-        pass their simulator explicitly: ``Component.__init__`` resets
-        ``_sim`` to None until ``bind``, which runs only at ``sim.add``.
-        """
-        if sim is not None:
-            self._sim = sim
-        sim = self._sim
-        if getattr(sim, "vectorized", False) and not sim.telemetering:
-            kernel = self._make_vec_kernel()
-            if kernel is not None:
-                self.vec = kernel
-                sim.register_vec_kernel(kernel)
-
-    def _make_vec_kernel(self) -> Optional[Any]:
-        """Build the architecture's compiled-tick batch kernel (see
-        :mod:`repro.sim.vec.kernels`); None means no vec support."""
-        return None
 
     @property
     def observed_dmax(self) -> int:

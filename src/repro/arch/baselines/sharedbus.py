@@ -22,7 +22,6 @@ from repro.core.parameters import (
 from repro.fabric.area import AreaModel
 from repro.fabric.timing import ClockModel
 from repro.sim import SLEEP, Component, Simulator
-from repro.sim.vec.kernels import BatchKernel
 
 SHAREDBUS_DESCRIPTOR = DesignParameters(
     name="SharedBus",
@@ -42,11 +41,6 @@ class SharedBus(CommArchitecture, Component):
     """Single-bus baseline: static design, central round-robin arbiter."""
 
     KEY = "sharedbus"
-
-    #: no containers to swap — the batch kernel is pure cross-cycle
-    #: burst batching over shared scalars (QL006)
-    VEC_FIELDS = ()
-    VEC_SHARED = ("_current", "_done_at", "_rr_next", "_queues")
 
     def __init__(self, sim: Simulator, num_modules: int = 4,
                  width: int = 32, grant_cycles: int = 2,
@@ -72,7 +66,11 @@ class SharedBus(CommArchitecture, Component):
         self._done_at = -1
         self._grant_at = -1
         self._halted = False  # fault state: arbitration stopped
-        self._init_vec(sim)
+        # stretch batching: asleep through a granted burst since cycle
+        # _sampled (see flush_samples)
+        self._in_burst = False
+        self._sampled = -1
+        sim.defer_samples(self)
 
     # ------------------------------------------------------------------
     def _attach_impl(self, module: str, **_: object) -> None:
@@ -178,16 +176,31 @@ class SharedBus(CommArchitecture, Component):
     def words(self, payload_bytes: int) -> int:
         return -(-payload_bytes * 8 // self.width)
 
-    def _make_vec_kernel(self):
-        return _SharedBusVecKernel(self)
+    def flush_samples(self, now: int) -> None:
+        """Record the ``parallelism == 1`` samples of the burst cycles
+        slept through, after ``_sampled`` through ``now - 1``.  The
+        in-burst flag is stashed at sleep time: ``halt_bus`` may clear
+        the live transfer mid-stretch, but it wakes the bus, and every
+        cycle before that wake was still in the burst."""
+        if self._in_burst and now - 1 > self._sampled:
+            self._parallelism_hist.add_run(1, now - 1 - self._sampled)
+            self._sampled = now - 1
+
+    def _sleep_through_burst(self, now: int):
+        """Quiescence hint for a granted burst: nothing but the
+        per-cycle sample changes until ``_done_at``, so sleep until then
+        unless telemetry needs every cycle."""
+        if self.sim.telemetering:
+            return None
+        self._in_burst = True
+        self._sampled = now
+        return self._done_at
 
     def tick(self, sim: Simulator):
-        if self.vec is not None:
-            return self.vec.tick(sim)
-        return self._tick_object(sim)
-
-    def _tick_object(self, sim: Simulator):
         now = sim.cycle
+        if self._in_burst:
+            self.flush_samples(now)
+            self._in_burst = False
         if self._halted:
             return SLEEP  # dead bus: resume_bus() wakes us
         if sim.telemetering:
@@ -204,7 +217,7 @@ class SharedBus(CommArchitecture, Component):
                 self._deliver(self._current)
                 self._current = None
             else:
-                return None  # burst in progress: sample parallelism each cycle
+                return self._sleep_through_burst(now)
         # arbitration: round-robin over modules with queued traffic
         # whose destination is attached
         n = len(self._rr_order)
@@ -234,52 +247,10 @@ class SharedBus(CommArchitecture, Component):
                     sim.telemetry.backpressure(
                         now, "sharedbus.bus", now - msg.created_cycle
                     )
-                return None
+                return self._sleep_through_burst(now)
         if any(self._queues.values()):
             return None  # queued traffic waiting on a detached destination
         return SLEEP  # bus and queues empty: wait for the next submit
-
-
-class _SharedBusVecKernel(BatchKernel):
-    """Compiled tick for shared-bus arbitration: a granted burst is
-    fully deterministic until ``_done_at``, so the kernel sleeps
-    through it and back-fills the per-cycle ``parallelism == 1``
-    samples on wake.  Arbitration itself (queue scans, round-robin
-    state) stays the object code, which only runs at grant/completion
-    cycles — identical in both backends.
-
-    The in-burst flag is stashed *at sleep time*: ``halt_bus`` may
-    clear the live transfer at event phase mid-stretch, but the object
-    path would still have sampled every cycle before the halt tick.
-    """
-
-    def __init__(self, arch: "SharedBus") -> None:
-        super().__init__(arch)
-        self._last = self.sim.cycle
-        self._in_burst = False
-
-    def _catch_up(self, through: int) -> None:
-        if through > self._last:
-            if self._in_burst:
-                self.backfill_constant(
-                    self.arch._parallelism_hist, through - self._last, 1.0)
-            self._last = through
-
-    def flush(self, now: int) -> None:
-        self._catch_up(now - 1)
-
-    def tick(self, sim: Simulator):
-        arch = self.arch
-        now = sim.cycle
-        self._catch_up(now - 1)
-        self._last = now
-        self._in_burst = False
-        hint = arch._tick_object(sim)
-        if (hint is None and arch._current is not None
-                and arch._done_at > now + 1):
-            self._in_burst = True
-            return arch._done_at
-        return hint
 
 
 def build_sharedbus(num_modules: int = 4, width: int = 32, seed: int = 1,

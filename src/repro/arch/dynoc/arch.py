@@ -35,8 +35,6 @@ from repro.fabric.area import AreaModel
 from repro.fabric.geometry import Rect
 from repro.fabric.timing import ClockModel
 from repro.sim import SLEEP, Component, SimError, Simulator
-from repro.sim.vec.kernels import BatchKernel
-from repro.sim.vec.store import EventQueue, IntervalSet
 
 
 @dataclass
@@ -62,11 +60,6 @@ class DyNoC(CommArchitecture, Component):
     """The DyNoC interconnect on a ``cols x rows`` PE/router mesh."""
 
     KEY = "dynoc"
-
-    #: hot containers the batch kernel swaps for SoA stores (QL006)
-    VEC_FIELDS = ("_arrivals", "_deliveries", "_transmissions")
-    #: tick-mutated state the kernel shares with the object path (QL006)
-    VEC_SHARED = ("_port_free",)
 
     def __init__(self, sim: Simulator, cfg: DyNoCConfig,
                  area_model: Optional[AreaModel] = None,
@@ -94,7 +87,10 @@ class DyNoC(CommArchitecture, Component):
         # parallelism probe counts distinct packets on wires per cycle,
         # the paper's "independent data transfers".
         self._transmissions: List[Tuple[int, int, int]] = []
-        self._init_vec(sim)
+        # stretch batching: the last cycle whose parallelism sample is
+        # recorded (see flush_samples)
+        self._sampled = -1
+        sim.defer_samples(self)
 
     # ==================================================================
     # activity / topology queries
@@ -337,18 +333,20 @@ class DyNoC(CommArchitecture, Component):
     # ==================================================================
     # per-cycle behaviour
     # ==================================================================
-    def _make_vec_kernel(self):
-        return _DyNoCVecKernel(self)
-
     def tick(self, sim: Simulator):
-        if self.vec is not None:
-            return self.vec.tick(sim)
         now = sim.cycle
-        self._tick_parallelism(now)
-        if sim.telemetering:
+        telemetering = sim.telemetering
+        if telemetering:
+            # telemetry samples every cycle: stay on the per-cycle path
+            if self._sampled < now - 1:
+                self.flush_samples(now)  # woken out of a batched stretch
+            self._sampled = now
+            self._tick_parallelism(now)
             # headers awaiting routing = the fabric's input queue
             sim.telemetry.queue_depth(now, "dynoc.fabric",
                                       len(self._arrivals))
+        else:
+            self.flush_samples(now + 1)
         due_deliveries = [d for d in self._deliveries if d[0] <= now]
         for item in due_deliveries:
             self._deliveries.remove(item)
@@ -357,7 +355,66 @@ class DyNoC(CommArchitecture, Component):
         for item in due:
             self._arrivals.remove(item)
             self._route(item[1], item[2], now)
-        return self._quiescence(now)
+        if telemetering:
+            return self._quiescence(now)
+        # stretch batching: links only carry what routing reserved, so
+        # sleep until the next header arrival or delivery and let
+        # flush_samples count the busy cycles in between
+        nxt = self._next_event(None)
+        return SLEEP if nxt is None else nxt
+
+    def flush_samples(self, now: int) -> None:
+        """Record the parallelism samples of the cycles after
+        ``_sampled`` through ``now - 1``, as the per-cycle tick would
+        have: one sample per cycle with a nonzero count of distinct
+        packets on inter-router links (the zero-count cycles are the
+        ones that tick sleeps through).  Only routing, inside a tick,
+        adds link intervals, so the ones present now already give every
+        count since the last tick: each packet's intervals are merged,
+        then a sweep over their edges yields runs of equal counts."""
+        t0 = self._sampled + 1
+        if now <= t0:
+            return
+        self._sampled = now - 1
+        spans: Dict[int, List[Tuple[int, int]]] = {}
+        live = []
+        for item in self._transmissions:
+            start, end, mid = item
+            if end <= now:
+                if end <= t0:
+                    continue
+            else:
+                live.append(item)
+            if start < now:
+                spans.setdefault(mid, []).append(
+                    (start if start > t0 else t0, end if end < now else now))
+        self._transmissions = live
+        if not spans:
+            return
+        edges: List[Tuple[int, int]] = []
+        for ivs in spans.values():
+            if len(ivs) > 1:
+                ivs.sort()
+            lo, hi = ivs[0]
+            for s, e in ivs:
+                if s > hi:
+                    edges.append((lo, 1))
+                    edges.append((hi, -1))
+                    lo = s
+                if e > hi:
+                    hi = e
+            edges.append((lo, 1))
+            edges.append((hi, -1))
+        edges.sort()
+        add_run = self._parallelism_hist.add_run
+        active = 0
+        at = t0
+        for t, delta in edges:
+            if t != at:
+                if active:
+                    add_run(active, t - at)
+                at = t
+            active += delta
 
     def _quiescence(self, now: int):
         """Quiescence hint: wake for the next header arrival, delivery,
@@ -370,12 +427,18 @@ class DyNoC(CommArchitecture, Component):
             if start <= now + 1:
                 return None
             nxt = start if nxt is None else min(nxt, start)
+        nxt = self._next_event(nxt)
+        return SLEEP if nxt is None else nxt
+
+    def _next_event(self, nxt: Optional[int]) -> Optional[int]:
+        """The earliest of ``nxt`` and the pending header arrivals and
+        deliveries."""
         for t, _, _ in self._arrivals:
-            nxt = t if nxt is None else min(nxt, t)
+            if nxt is None or t < nxt:
+                nxt = t
         for t, _ in self._deliveries:
-            nxt = t if nxt is None else min(nxt, t)
-        if nxt is None:
-            return SLEEP
+            if nxt is None or t < nxt:
+                nxt = t
         return nxt
 
     def _reserve_port(self, router: Coord, target: object,
@@ -473,66 +536,6 @@ class DyNoC(CommArchitecture, Component):
         self._transmissions = [t for t in self._transmissions if t[1] > now]
         active = len({m for s, e, m in self._transmissions if s <= now < e})
         self._note_parallelism(active)
-
-
-class _DyNoCVecKernel(BatchKernel):
-    """Compiled tick for DyNoC/StaticMesh S-XY transport + ejection.
-
-    Swaps the three hot containers for SoA stores, extracts due headers
-    and deliveries with one masked scan each, and sleeps through busy
-    stretches between events, back-filling the per-cycle
-    link-parallelism samples from the occupancy intervals on wake-up
-    (distinct-packet counts via interval merge + prefix sum).
-    Routing itself stays the object code: it runs only at header-arrival
-    cycles, which are identical in both backends.
-    """
-
-    def __init__(self, arch: "DyNoC") -> None:
-        super().__init__(arch)
-        arch._arrivals = EventQueue("dynoc.arrivals", arch._arrivals)
-        arch._deliveries = EventQueue("dynoc.deliveries", arch._deliveries)
-        arch._transmissions = IntervalSet("dynoc.links", arch._transmissions)
-        #: last cycle whose parallelism sample is already recorded
-        self._last = self.sim.cycle
-
-    def _catch_up(self, through: int) -> None:
-        """Replay the skipped stretch through cycle ``through``: the
-        object path records one parallelism sample per cycle with a
-        nonzero distinct-packet count (it sleeps exactly when the count
-        is zero), so filtering the zeros reproduces its sample stream
-        bit for bit."""
-        if through > self._last:
-            tx = self.arch._transmissions
-            counts = tx.active_counts(self._last + 1, through + 1)
-            busy = counts[counts > 0]
-            if busy.size:
-                self.arch._parallelism_hist.add_batch(busy)
-            self._last = through
-
-    def flush(self, now: int) -> None:
-        self._catch_up(now - 1)
-
-    def tick(self, sim: Simulator):
-        arch = self.arch
-        now = sim.cycle
-        tx = arch._transmissions
-        self._catch_up(now - 1)
-        self._last = now
-        tx.prune(now)
-        arch._note_parallelism(tx.count_distinct_at(now))
-        for _, msg in arch._deliveries.pop_due(now):
-            arch._deliver(msg)
-        for _, pkt, coord in arch._arrivals.pop_due(now):
-            arch._route(pkt, coord, now)
-        nxt = arch._arrivals.min_ready()
-        nd = arch._deliveries.min_ready()
-        if nd is not None and (nxt is None or nd < nxt):
-            nxt = nd
-        if nxt is None:
-            # every link interval ends before its packet's delivery, so
-            # no pending events implies no live link either
-            return None if (tx.max_end() or 0) > now + 1 else SLEEP
-        return nxt if nxt > now else now + 1
 
 
 def build_dynoc(

@@ -84,17 +84,27 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _kernel_summary(sims) -> str:
     """Aggregate kernel self-metrics across simulators for the terminal."""
-    totals: dict = {}
-    for sim in sims:
-        for key, value in sim.kmetrics.as_dict().items():
-            if key == "commit_max":
-                totals[key] = max(totals.get(key, 0), value)
-            else:
-                totals[key] = totals.get(key, 0) + value
+    from repro.obs.ledger import aggregate_kernel
+
     lines = [f"{'kernel metric':<28} {'value':>12}"]
-    for key, value in totals.items():
+    for key, value in aggregate_kernel(sims).items():
         lines.append(f"{key:<28} {value:>12}")
     return "\n".join(lines)
+
+
+def _observe(which: str, run, sims_of):
+    """Run one observe command's harness call (trace, profile, watch,
+    explain).  Returns ``(value, None)``, or ``(None, exit_code)``: 2
+    for an unknown experiment, 1 when it built no simulators."""
+    try:
+        value = run()
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return None, 2
+    if not sims_of(value):
+        print(f"experiment {which!r} built no simulators", file=sys.stderr)
+        return None, 1
+    return value, None
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -105,21 +115,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
-    try:
-        _, session = observe_named(args.which, trace=True,
-                                   profile=args.profile,
-                                   max_events=args.max_events,
-                                   keep=args.keep,
-                                   journeys=args.journeys,
-                                   engine=args.engine)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    session, code = _observe(
+        args.which,
+        lambda: observe_named(args.which, trace=True, profile=args.profile,
+                              max_events=args.max_events, keep=args.keep,
+                              journeys=args.journeys,
+                              engine=args.engine)[1],
+        lambda session: session.sims)
+    if code is not None:
+        return code
     sims = session.sims
-    if not sims:
-        print(f"experiment {args.which!r} built no simulators",
-              file=sys.stderr)
-        return 1
     out = args.out or f"trace-{args.which}.json"
     write_chrome_trace(out, sims)
     print(f"experiment   : {args.which}")
@@ -145,17 +150,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         to_prometheus_text,
     )
 
-    try:
-        _, session = observe_named(args.which, trace=False, profile=True,
-                                   engine=args.engine)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    session, code = _observe(
+        args.which,
+        lambda: observe_named(args.which, trace=False, profile=True,
+                              engine=args.engine)[1],
+        lambda session: session.sims)
+    if code is not None:
+        return code
     sims = session.sims
-    if not sims:
-        print(f"experiment {args.which!r} built no simulators",
-              file=sys.stderr)
-        return 1
     merged = Profiler()
     for sim in sims:
         if sim.profiler is not None:
@@ -179,25 +181,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_watch(args: argparse.Namespace) -> int:
     from repro.obs.watch import watch_experiment
 
-    try:
-        _, doc = watch_experiment(
-            args.which,
-            interval=args.interval,
-            once=args.once,
-            json_out=args.json,
-            max_rows=args.rows,
-            clear=not args.no_clear,
-            journeys=not args.no_journeys,
-            engine=args.engine,
-        )
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    if not doc["simulators"]:
-        print(f"experiment {args.which!r} built no simulators",
-              file=sys.stderr)
-        return 1
-    return 0
+    _, code = _observe(
+        args.which,
+        lambda: watch_experiment(
+            args.which, interval=args.interval, once=args.once,
+            json_out=args.json, max_rows=args.rows,
+            clear=not args.no_clear, journeys=not args.no_journeys,
+            engine=args.engine)[1],
+        lambda doc: doc["simulators"])
+    return code or 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -209,13 +201,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         validate_journey,
     )
 
-    try:
-        doc = explain_experiment(args.which, engine=args.engine,
-                                 rate=args.rate, seed=args.seed,
-                                 max_records=args.max_records)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    doc, code = _observe(
+        args.which,
+        lambda: explain_experiment(args.which, engine=args.engine,
+                                   rate=args.rate, seed=args.seed,
+                                   max_records=args.max_records),
+        lambda doc: doc["simulators"])
+    if code is not None:
+        return code
     validate_journey(doc)
     text = (json.dumps(doc, indent=2, sort_keys=True) if args.json
             else render_explain(doc, top=args.top))
@@ -574,6 +567,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _add_engine_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--engine", choices=["object", "vec"], default=None,
+                   help="engine name recorded with the run (default: "
+                        "REPRO_SIM_ENGINE or object); both names run the "
+                        "same simulator")
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -619,9 +619,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--journeys", action="store_true",
                    help="also record message journeys (adds journey "
                         "threads + flow arcs to the Perfetto export)")
-    p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: REPRO_SIM_ENGINE "
-                        "or object; traces are bit-identical)")
+    _add_engine_arg(p)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("profile",
@@ -634,9 +632,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="write a JSON stats/kernel/profile snapshot")
     p.add_argument("--top", type=int, default=10,
                    help="rows in the terminal summary")
-    p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: REPRO_SIM_ENGINE "
-                        "or object)")
+    _add_engine_arg(p)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("watch",
@@ -658,9 +654,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-journeys", action="store_true",
                    help="skip journey recording (drops the per-flow "
                         "slowest-segment column)")
-    p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: REPRO_SIM_ENGINE "
-                        "or object; snapshots are bit-identical)")
+    _add_engine_arg(p)
     p.set_defaults(func=_cmd_watch)
 
     p = sub.add_parser("explain",
@@ -681,9 +675,7 @@ def make_parser() -> argparse.ArgumentParser:
                         "messages on either engine)")
     p.add_argument("--max-records", type=int, default=100_000,
                    help="journey record cap per simulator (keep-first)")
-    p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: REPRO_SIM_ENGINE "
-                        "or object; journey records are bit-identical)")
+    _add_engine_arg(p)
     p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser("scenario", help="run the minimal scenario")
@@ -702,9 +694,7 @@ def make_parser() -> argparse.ArgumentParser:
                    default=["rmboc", "buscom", "dynoc", "conochi"])
     p.add_argument("--widths", nargs="+", type=int, default=[8, 16, 32])
     p.add_argument("--payloads", nargs="+", type=int, default=[64])
-    p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: REPRO_SIM_ENGINE "
-                        "or object; results are bit-identical)")
+    _add_engine_arg(p)
     p.add_argument("--seeds", type=int, default=0, metavar="N",
                    help="fleet mode: run N seeded Monte-Carlo runs per "
                         "architecture in one process instead of the "
@@ -790,9 +780,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="single round (CI smoke)")
     p.add_argument("--json", action="store_true",
                    help="emit the repro.chaos/1 document as JSON")
-    p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: REPRO_SIM_ENGINE "
-                        "or object; the document is engine-independent)")
+    _add_engine_arg(p)
     p.add_argument("--adaptive", action="store_true",
                    help="attach the SLO control loop to every scenario "
                         "and embed its repro.control/1 action log plus "
@@ -810,9 +798,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="traffic-phase seed (default: 7)")
     p.add_argument("--json", action="store_true",
                    help="emit the repro.adapt/1 document as JSON")
-    p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: REPRO_SIM_ENGINE "
-                        "or object; the document is engine-independent)")
+    _add_engine_arg(p)
     p.set_defaults(func=_cmd_adapt)
 
     p = sub.add_parser("runs",

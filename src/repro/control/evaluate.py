@@ -46,7 +46,7 @@ from repro.control.loop import (CONTROL_SCHEMA, FINAL_STATUSES,
                                 ControlLoop)
 from repro.fabric.geometry import Rect
 from repro.sim import Simulator
-from repro.sim.vec import make_simulator
+from repro.sim.engine import make_simulator
 
 __all__ = ["ADAPT_SCHEMA", "run_adaptive_pair", "run_adapt",
            "validate_control", "validate_adapt", "render_adapt"]

@@ -7,7 +7,7 @@ analyzer wholesale:
 
 * ``# simlint: disable=QL005`` on the offending line,
 * ``# simlint: disable-next-line=QL005,QL009`` on the line above,
-* ``# simlint: disable-file=QL010`` anywhere in the file, or
+* ``# simlint: disable-file=QL009`` anywhere in the file, or
 * ``disable=all`` to suppress every rule at that site.
 
 Comments are found with :mod:`tokenize`, so strings that merely contain
@@ -61,7 +61,7 @@ class SuppressionIndex:
 
 
 def _parse_directive(comment: str) -> List[Tuple[str, Set[str]]]:
-    """``# simlint: disable=QL001,QL002 disable-file=QL010`` ->
+    """``# simlint: disable=QL001,QL002 disable-file=QL009`` ->
     ``[("disable", {...}), ("disable-file", {...})]``."""
     text = comment.lstrip("#").strip()
     marker = text.find(_MARKER)
@@ -247,7 +247,7 @@ class DirPolicy:
 
 #: default policies; longest matching prefix wins, src/ keeps everything.
 DEFAULT_DIR_POLICIES: Tuple[DirPolicy, ...] = (
-    # examples stay illustrative: structural topology/iteration/vec rules
+    # examples stay illustrative: structural topology/iteration rules
     # still apply, but watch()-discipline and RNG hygiene are relaxed.
     DirPolicy("examples", frozenset(
         {"QL000", "QL003", "QL005", "QL007", "QL008", "QL011"}),

@@ -1,12 +1,12 @@
 """Whole-program component↔channel access graph.
 
-The static rules QL001–QL006 look at one class at a time.  The race
-rules (QL007–QL011, :mod:`repro.lint.race`) need the *whole program*:
-which component classes read, stage, push or pop which channel objects,
-after resolving inheritance (including diamonds through
-``arch/base.py``-style bases), channels handed to helper classes
-through constructor parameters, and writes buried in helper methods
-reached from ``tick``.
+The static rules QL001–QL005 look at one class at a time.  The race
+rules (QL007–QL009 and QL011, :mod:`repro.lint.race`) need the *whole
+program*: which component classes read, stage, push or pop which
+channel objects, after resolving inheritance (including diamonds
+through ``arch/base.py``-style bases), channels handed to helper
+classes through constructor parameters, and writes buried in helper
+methods reached from ``tick``.
 
 This module builds that graph.  It is necessarily approximate — static
 analysis of Python cannot track every alias — but the approximations
@@ -142,9 +142,6 @@ class ClassDecl:
     #: attr -> class name, for object-typed attributes (self.x = Cls(...))
     obj_types: Dict[str, str] = field(default_factory=dict)
     is_component: bool = False
-    #: class-level VEC_FIELDS/VEC_SHARED string declarations (or None)
-    vec_declared: Optional[Set[str]] = None
-    vec_fields: Set[str] = field(default_factory=set)
     #: class-level KEY = "..." value, if any (architecture key)
     arch_key: Optional[str] = None
     #: methods reachable from tick via self-calls
@@ -350,10 +347,7 @@ class _GraphBuilder:
             queue.extend(current.bases)
 
     def _scan_class_body(self, decl: ClassDecl) -> None:
-        """Class-level declarations: VEC_FIELDS/VEC_SHARED and KEY."""
-        declared: Set[str] = set()
-        fields: Set[str] = set()
-        found = "_make_vec_kernel" in decl.methods
+        """Class-level declarations: the architecture KEY."""
         for ancestor in self._mro(decl):
             for node in ancestor.node.body:
                 targets: List[ast.expr] = []
@@ -365,21 +359,10 @@ class _GraphBuilder:
                 for target in targets:
                     if not isinstance(target, ast.Name):
                         continue
-                    if target.id in ("VEC_FIELDS", "VEC_SHARED"):
-                        found = True
-                        if isinstance(value, (ast.Tuple, ast.List)):
-                            names = {elt.value for elt in value.elts
-                                     if isinstance(elt, ast.Constant)
-                                     and isinstance(elt.value, str)}
-                            declared.update(names)
-                            if target.id == "VEC_FIELDS":
-                                fields.update(names)
-                    elif (target.id == "KEY" and decl.arch_key is None
+                    if (target.id == "KEY" and decl.arch_key is None
                             and isinstance(value, ast.Constant)
                             and isinstance(value.value, str)):
                         decl.arch_key = value.value
-        decl.vec_declared = declared if found else None
-        decl.vec_fields = fields
 
     def _mro(self, decl: ClassDecl) -> List[ClassDecl]:
         classes = self.graph.classes

@@ -1,4 +1,4 @@
-"""Graph-level determinism rules QL007–QL011.
+"""Graph-level determinism rules QL007–QL009 and QL011.
 
 These rules run on the whole-program access graph built by
 :mod:`repro.lint.graph` rather than on one class at a time:
@@ -14,21 +14,14 @@ QL008    error     multi-producer or multi-consumer FIFO topology —
 QL009    error     iteration over an unordered ``set`` of components or
                    channels whose body stages channel state or draws
                    randomness — hash order leaks into simulation state
-QL010    warning   object-path code reads a ``VEC_FIELDS`` attribute
-                   outside the tick path without a flush-site dominator
-                   (``flush``/``flush_kernels``), so it can observe
-                   stale pre-kernel state under ``--engine vec``
 QL011    error     a fault policy registered in ``_POLICIES`` calls a
                    ``self.arch.<hook>()`` the keyed architecture class
                    does not implement (crashes only when that fault
                    fires)
 =======  ========  =====================================================
 
-Each rule is conservative in the direction that matters for its
-severity: the error rules only fire on accesses the graph proves are on
-a tick path of a concrete component class, while QL010 is a warning
-because flushing may be handled by a caller the dominator scan cannot
-see (such hits belong in the baseline with a justification).
+Each rule is conservative: it only fires on accesses the graph proves
+are on a tick path of a concrete component class.
 """
 
 from __future__ import annotations
@@ -39,11 +32,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.lint.findings import Finding, Severity
 from repro.lint.graph import AccessGraph, Access, ClassDecl, build_graph
 
-try:  # flush-site metadata lives next to the kernels it describes
-    from repro.sim.vec.kernels import VEC_FLUSH_SITES
-except Exception:  # pragma: no cover - vec layer always importable
-    VEC_FLUSH_SITES = ("flush", "flush_kernels")
-
 #: rule id -> (default severity, one-line summary)
 GRAPH_RULES: Dict[str, Tuple[Severity, str]] = {
     "QL007": (Severity.ERROR,
@@ -52,9 +40,6 @@ GRAPH_RULES: Dict[str, Tuple[Severity, str]] = {
               "multi-producer/multi-consumer FIFO topology"),
     "QL009": (Severity.ERROR,
               "iteration over an unordered set reaches staged state or RNG"),
-    "QL010": (Severity.WARNING,
-              "object-path read of VEC_FIELDS state without a flush "
-              "dominator"),
     "QL011": (Severity.ERROR,
               "fault policy calls a recovery hook the architecture lacks"),
 }
@@ -243,48 +228,6 @@ def _iteration_findings(graph: AccessGraph) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# QL010 — vec/object divergence hazard
-# ----------------------------------------------------------------------
-def _vec_divergence_findings(graph: AccessGraph) -> List[Finding]:
-    findings: List[Finding] = []
-    for name, decl in sorted(graph.classes.items()):
-        if not decl.vec_fields:
-            continue
-        for mname, (def_cls, def_path, fn) in sorted(decl.methods.items()):
-            if def_cls != name:
-                continue
-            if mname in decl.tick_reachable or mname == "__init__":
-                continue
-            if mname in VEC_FLUSH_SITES or mname.startswith("_make_vec"):
-                continue
-            flush_line = None
-            for node in ast.walk(fn):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in VEC_FLUSH_SITES):
-                    flush_line = node.lineno
-                    break
-            for node in ast.walk(fn):
-                if not (isinstance(node, ast.Attribute)
-                        and isinstance(node.ctx, ast.Load)
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id == "self"
-                        and node.attr in decl.vec_fields):
-                    continue
-                if flush_line is not None and flush_line <= node.lineno:
-                    continue  # flushed before the read: dominated
-                findings.append(Finding(
-                    "QL010", GRAPH_RULES["QL010"][0], def_path,
-                    node.lineno, f"{name}.{mname}",
-                    f"reads VEC_FIELDS attribute self.{node.attr} outside "
-                    f"the tick path without a preceding "
-                    f"{'/'.join(VEC_FLUSH_SITES)} call; under --engine vec "
-                    f"this can observe stale pre-kernel state"))
-                break  # one finding per method is enough
-    return findings
-
-
-# ----------------------------------------------------------------------
 # QL011 — fault-policy hook completeness
 # ----------------------------------------------------------------------
 def _policy_hook_findings(graph: AccessGraph) -> List[Finding]:
@@ -370,11 +313,10 @@ def _class_has_attr(graph: AccessGraph, decl: ClassDecl, attr: str) -> bool:
 # entry point
 # ----------------------------------------------------------------------
 def run_graph_rules(graph: AccessGraph) -> List[Finding]:
-    """All QL007–QL011 findings for a built access graph."""
+    """All graph-rule findings for a built access graph."""
     findings: List[Finding] = []
     findings.extend(_topology_findings(graph))
     findings.extend(_iteration_findings(graph))
-    findings.extend(_vec_divergence_findings(graph))
     findings.extend(_policy_hook_findings(graph))
     return findings
 

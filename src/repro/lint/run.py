@@ -2,8 +2,8 @@
 
 Order matters and is fixed here so the CLI, CI and tests agree:
 
-1. static per-class rules (QL000–QL006, :mod:`repro.lint.static_rules`)
-2. whole-program graph rules (QL007–QL011, :mod:`repro.lint.race` over
+1. static per-class rules (QL000–QL005, QL012, :mod:`repro.lint.static_rules`)
+2. whole-program graph rules (QL007–QL009, QL011, :mod:`repro.lint.race` over
    the :mod:`repro.lint.graph` access graph)
 3. dedupe by ``(rule, file, line, symbol)`` — helper attribution can
    reach one site through several paths

@@ -29,12 +29,6 @@ QL005    error     ``tick()`` signature that cannot return a
                    :data:`~repro.sim.component.QuiescenceHint` (wrong
                    arity, ``-> None``/``-> bool``/``-> str`` annotation,
                    or a literal bool/str/float return)
-QL006    error     a component that installs a batch kernel (declares
-                   ``VEC_FIELDS``/``VEC_SHARED`` or defines
-                   ``_make_vec_kernel``) whose object-path ``tick``
-                   call-graph mutates a private ``self._x`` attribute
-                   not listed in either declaration — the kernel's
-                   stretch replay would not account for it
 QL012    error     control-plane code (``repro.control``) touching
                    another object's private (underscore) state —
                    adaptive actions must go through public architecture
@@ -73,9 +67,6 @@ RULES: Dict[str, Tuple[Severity, str]] = {
               "direct mutation of another object's private state"),
     "QL005": (Severity.ERROR,
               "tick() signature cannot return a QuiescenceHint"),
-    "QL006": (Severity.ERROR,
-              "batch-kernel component's tick mutates state outside "
-              "VEC_FIELDS/VEC_SHARED"),
     "QL012": (Severity.ERROR,
               "control-plane code touches another object's private "
               "state instead of a public entry point"),
@@ -151,7 +142,6 @@ class _ClassInfo:
         self.channel_exprs = self._channel_exprs()
         self.watched = self._watched_exprs()
         self.can_sleep = self._can_sleep()
-        self.vec_declared = self._vec_declaration()
 
     # -- channel attribute inference -----------------------------------
     def _channel_exprs(self) -> Set[str]:
@@ -206,33 +196,6 @@ class _ClassInfo:
                     watched.add(_unparse(fn.value))
         return watched
 
-    # -- batch-kernel (vec) declaration --------------------------------
-    def _vec_declaration(self) -> Optional[Set[str]]:
-        """The union of the class's ``VEC_FIELDS``/``VEC_SHARED``
-        string tuples, or None when the class does not opt into the
-        batch-kernel contract (no declaration and no
-        ``_make_vec_kernel``)."""
-        declared: Set[str] = set()
-        found = any(m.name == "_make_vec_kernel" for m in self.methods)
-        for node in self.cls.body:
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            for target in targets:
-                if (isinstance(target, ast.Name)
-                        and target.id in ("VEC_FIELDS", "VEC_SHARED")):
-                    found = True
-                    if isinstance(value, (ast.Tuple, ast.List)):
-                        declared.update(
-                            elt.value for elt in value.elts
-                            if isinstance(elt, ast.Constant)
-                            and isinstance(elt.value, str)
-                        )
-        return declared if found else None
-
     # -- quiescence capability -----------------------------------------
     def _can_sleep(self) -> bool:
         for node in ast.walk(self.cls):
@@ -285,7 +248,6 @@ class _ComponentChecker:
                 self._check_staged_writes(method, symbol)
             if method.name == "tick":
                 self._check_tick_signature(method, symbol)
-        self._check_vec_contract()
         return self.findings
 
     @staticmethod
@@ -407,80 +369,6 @@ class _ComponentChecker:
                         f"assigns to {hit} — another object's private "
                         f"state; stage the change through Wire.drive/"
                         f"FIFO.push or a public method instead",
-                    )
-
-    # -- QL006 ----------------------------------------------------------
-    @staticmethod
-    def _self_private_root(expr: ast.expr) -> Optional[str]:
-        """The ``_attr`` name when ``expr`` is (a subscript of)
-        ``self._attr`` with a single-underscore name, else None."""
-        while isinstance(expr, ast.Subscript):
-            expr = expr.value
-        if (isinstance(expr, ast.Attribute)
-                and isinstance(expr.value, ast.Name)
-                and expr.value.id == "self"):
-            attr = expr.attr
-            if attr.startswith("_") and not attr.startswith("__"):
-                return attr
-        return None
-
-    def _tick_reachable(self) -> List[ast.FunctionDef]:
-        """Same-class methods reachable from ``tick`` through direct
-        ``self.method()`` calls (base-class helpers and aliased calls
-        are out of scope, matching the module's approximation rules)."""
-        methods = {m.name: m for m in self.info.methods}
-        if "tick" not in methods:
-            return []
-        seen: Set[str] = set()
-        queue = ["tick"]
-        while queue:
-            name = queue.pop()
-            if name in seen or name not in methods:
-                continue
-            seen.add(name)
-            for node in ast.walk(methods[name]):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and isinstance(node.func.value, ast.Name)
-                        and node.func.value.id == "self"):
-                    queue.append(node.func.attr)
-        return [methods[name] for name in sorted(seen)]
-
-    def _check_vec_contract(self) -> None:
-        declared = self.info.vec_declared
-        if declared is None:
-            return
-        for method in self._tick_reachable():
-            symbol = f"{self.info.cls.name}.{method.name}"
-            for node in ast.walk(method):
-                hits: List[Tuple[ast.AST, str, str]] = []
-                targets: List[ast.expr] = []
-                if isinstance(node, ast.Assign):
-                    targets = list(node.targets)
-                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                    targets = [node.target]
-                elif isinstance(node, ast.Delete):
-                    targets = list(node.targets)
-                elif (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in _CONTAINER_MUTATORS):
-                    attr = self._self_private_root(node.func.value)
-                    if attr is not None:
-                        hits.append((node, attr, f".{node.func.attr}()"))
-                for target in targets:
-                    attr = self._self_private_root(target)
-                    if attr is not None:
-                        hits.append((node, attr, "assignment"))
-                for where, attr, how in hits:
-                    if attr in declared:
-                        continue
-                    self._add(
-                        "QL006", where, symbol,
-                        f"tick path mutates self.{attr} ({how}) but the "
-                        f"class installs a batch kernel and declares "
-                        f"neither VEC_FIELDS nor VEC_SHARED for it — the "
-                        f"kernel's stretch replay will not account for "
-                        f"this state (vec/object divergence)",
                     )
 
     # -- QL005 ----------------------------------------------------------

@@ -8,9 +8,10 @@
   same config under a different seed (``seed``), a different engine
   (``engine``) or a different package/commit (``version``), or the
   same seed under a different config (``config``).  The alignment
-  picks the noise model: an engine pair must be bit-identical (the vec
-  backend's equivalence contract), a seed pair is compared against the
-  across-seed spread, a config pair is an intentional comparison.
+  picks the noise model: an engine pair must be bit-identical (both
+  engine names run the same simulator), a seed pair is compared
+  against the across-seed spread, a config pair is an intentional
+  comparison.
 * **compare** — flatten both records to dotted metric paths and
   compute deltas with *noise-aware significance*: a delta only counts
   when it clears a floor combining an absolute slack, a relative

@@ -18,8 +18,8 @@ residual, which is reported, never silently dropped.
 
 Sampling is deterministic and engine-independent: the keep/skip
 decision for message ``mid`` is a pure function of ``(seed, mid)`` (a
-CRC32 threshold test), so the same seed samples the same messages on
-the object and the vec engine, and across reruns.  ``max_records``
+CRC32 threshold test), so the same seed samples the same messages
+under either engine name, and across reruns.  ``max_records``
 additionally caps memory (keep-first; the overflow count is reported).
 
 On top of the raw records:
@@ -230,7 +230,7 @@ class JourneyRecorder:
 
     def snapshot(self) -> Dict[str, Any]:
         """Deterministic dump of every record, keyed by mid — the
-        object-vs-vec equivalence tests compare these directly."""
+        journey equivalence tests compare these directly."""
         return {
             "sampling": {"seed": self.seed, "rate": self.rate,
                          "max_records": self.max_records},

@@ -22,7 +22,12 @@ from __future__ import annotations
 import os
 from typing import List, Optional
 
-from repro.sim.engine import Simulator, set_new_sim_hook
+from repro.sim.engine import (
+    ENGINE_ENV,
+    Simulator,
+    resolve_engine,
+    set_new_sim_hook,
+)
 from repro.sim.trace import Tracer
 
 #: sentinel distinguishing "env var was unset" from "was empty string"
@@ -54,13 +59,13 @@ class ObservationSession:
         Tracer capacity policy; the default keeps the *tail* so the end
         of long runs stays observable.
     engine:
-        Simulation engine for every simulator the observed harness
-        builds: ``"object"``, ``"vec"``, or None (leave the ambient
-        default).  Implemented by setting
-        :data:`repro.sim.vec.engine.ENGINE_ENV` for the duration of the
-        session and restoring it on exit — the same channel
-        ``repro sweep --engine`` uses, so observed runs and swept runs
-        resolve the engine identically.
+        Engine name for every simulator the observed harness builds:
+        ``"object"``, ``"vec"``, or None (leave the ambient default),
+        validated by :func:`repro.sim.engine.resolve_engine`.
+        Implemented by setting :data:`repro.sim.engine.ENGINE_ENV` for
+        the duration of the session and restoring it on exit — the
+        same channel ``repro sweep --engine`` uses, so observed runs
+        and swept runs resolve the engine identically.
     """
 
     def __init__(self, trace: bool = True, profile: bool = False,
@@ -70,11 +75,7 @@ class ObservationSession:
                  journey_max_records: int = 100_000,
                  engine: Optional[str] = None):
         if engine is not None:
-            from repro.sim.vec.engine import ENGINES
-
-            if engine not in ENGINES:
-                raise ValueError(
-                    f"unknown engine {engine!r}; known: {ENGINES}")
+            engine = resolve_engine(engine)
         self.trace = trace
         self.profile = profile
         self.telemetry = telemetry
@@ -125,8 +126,6 @@ class ObservationSession:
             raise RuntimeError("ObservationSession is not re-entrant")
         self._active = True
         if self.engine is not None:
-            from repro.sim.vec.engine import ENGINE_ENV
-
             self._saved_engine_env = os.environ.get(ENGINE_ENV, _UNSET)
             os.environ[ENGINE_ENV] = self.engine
         self._prev = set_new_sim_hook(self._on_new_sim)
@@ -137,8 +136,6 @@ class ObservationSession:
         self._prev = None
         self._active = False
         if self.engine is not None:
-            from repro.sim.vec.engine import ENGINE_ENV
-
             if self._saved_engine_env is _UNSET:
                 os.environ.pop(ENGINE_ENV, None)
             else:
@@ -174,6 +171,21 @@ class ObservationSession:
             sim.telemetry.evaluate_now(sim.cycle)
 
 
+def lookup_harness(name: str):
+    """The registered experiment/ablation harness called ``name``;
+    raises :class:`KeyError` naming the known ones otherwise (the CLI
+    maps that to exit code 2)."""
+    from repro.analysis.parallel import registry
+
+    harnesses = registry()
+    if name not in harnesses:
+        raise KeyError(
+            f"unknown experiment {name!r}; known: "
+            f"{', '.join(sorted(harnesses))}"
+        )
+    return harnesses[name]
+
+
 def observe_named(name: str, trace: bool = True, profile: bool = False,
                   telemetry: bool = False, journeys: bool = False,
                   rules=None, max_events: int = 500_000, keep: str = "tail",
@@ -187,14 +199,7 @@ def observe_named(name: str, trace: bool = True, profile: bool = False,
     a cached result would have nothing to observe.  Returns
     ``(result, session)``.
     """
-    from repro.analysis.parallel import registry
-
-    harnesses = registry()
-    if name not in harnesses:
-        raise KeyError(
-            f"unknown experiment {name!r}; known: "
-            f"{', '.join(sorted(harnesses))}"
-        )
+    harness = lookup_harness(name)
     session = ObservationSession(trace=trace, profile=profile,
                                  telemetry=telemetry, journeys=journeys,
                                  rules=rules,
@@ -204,7 +209,7 @@ def observe_named(name: str, trace: bool = True, profile: bool = False,
                                  journey_max_records=journey_max_records,
                                  engine=engine)
     with session:
-        result = harnesses[name]()
+        result = harness()
     if telemetry:
         session.flush_alerts()
     return result, session

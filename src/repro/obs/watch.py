@@ -40,7 +40,11 @@ from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from repro.obs.flows import merge_snapshots
 from repro.obs.journey import SEGMENT_KINDS, flow_slowest_segments
-from repro.obs.session import ObservationSession
+from repro.obs.session import (
+    ObservationSession,
+    lookup_harness,
+    observe_named,
+)
 
 #: watch snapshot document version; bump on breaking shape changes
 SNAPSHOT_SCHEMA = "repro.watch/1"
@@ -295,38 +299,30 @@ def watch_experiment(
     """Run a registered harness under telemetry and stream snapshots.
 
     ``journeys`` additionally attaches journey recorders so flow rows
-    carry their ``slowest_segment``; ``engine`` pins the simulation
-    backend (``"object"`` / ``"vec"``) for the run, like ``repro sweep
+    carry their ``slowest_segment``; ``engine`` pins the engine name
+    (``"object"`` / ``"vec"``) for the run, like ``repro sweep
     --engine``.  Returns ``(result, final_snapshot)``.  Raises
     :class:`KeyError` for an unknown experiment name (the CLI maps that
     to exit code 2).
     """
-    from repro.analysis.parallel import registry
-
-    harnesses = registry()
-    if name not in harnesses:
-        raise KeyError(
-            f"unknown experiment {name!r}; known: "
-            f"{', '.join(sorted(harnesses))}"
-        )
     out = stream if stream is not None else sys.stdout
-    session = ObservationSession(trace=False, telemetry=True, rules=rules,
-                                 journeys=journeys, engine=engine)
-
     if once:
-        with session:
-            result = harnesses[name]()
-        session.flush_alerts()
+        result, session = observe_named(name, trace=False, telemetry=True,
+                                        rules=rules, journeys=journeys,
+                                        engine=engine)
         doc = collect_snapshot(session, name, done=True)
         _emit(doc, out, json_out, pretty=True, max_rows=max_rows,
               clear=False)
         return result, doc
 
+    harness = lookup_harness(name)
+    session = ObservationSession(trace=False, telemetry=True, rules=rules,
+                                 journeys=journeys, engine=engine)
     box: Dict[str, Any] = {}
 
     def _run() -> None:
         try:
-            box["result"] = harnesses[name]()
+            box["result"] = harness()
         except BaseException as exc:  # surfaced after the loop
             box["error"] = exc
 

@@ -23,7 +23,16 @@ while idle, and only channels with staged writes are committed.  See
 
 from repro.sim.channel import FIFO, PulseWire, Wire
 from repro.sim.component import Channel, Component, QuiescenceHint
-from repro.sim.engine import SLEEP, KernelMetrics, SimError, Simulator
+from repro.sim.engine import (
+    ENGINE_ENV,
+    ENGINES,
+    SLEEP,
+    KernelMetrics,
+    SimError,
+    Simulator,
+    make_simulator,
+    resolve_engine,
+)
 from repro.sim.rng import make_rng, spawn_rngs
 from repro.sim.stats import (
     Counter,
@@ -34,22 +43,14 @@ from repro.sim.stats import (
     TimeSeries,
 )
 from repro.sim.trace import SpanEvent, TraceEvent, Tracer
-from repro.sim.vec import (
-    ENGINE_ENV,
-    ENGINES,
-    VecSimulator,
-    engine_default,
-    make_simulator,
-)
 
 __all__ = [
     "Channel",
     "Component",
     "ENGINES",
     "ENGINE_ENV",
-    "VecSimulator",
-    "engine_default",
     "make_simulator",
+    "resolve_engine",
     "Counter",
     "CounterSnapshot",
     "FIFO",

@@ -66,6 +66,14 @@ SANITIZE_ENV = "REPRO_SIM_SANITIZE"
 #: environment switch for the wall-clock profiler ("1" enables)
 PROFILE_ENV = "REPRO_SIM_PROFILE"
 
+#: environment switch for the default engine name ("object" or "vec")
+ENGINE_ENV = "REPRO_SIM_ENGINE"
+
+#: recognised engine names.  Both build the same :class:`Simulator`;
+#: ``"vec"`` stays a valid, ledger-recorded name for callers and run
+#: records that pass it.
+ENGINES: Tuple[str, ...] = ("object", "vec")
+
 
 def fastpath_default() -> bool:
     """The fast-path setting used when ``Simulator(fast_path=None)``."""
@@ -301,6 +309,9 @@ class Simulator:
         # sequentials that do not participate in dirty tracking (no
         # ``_dirty_flag`` attribute) are committed every cycle.
         self._eager_sequentials: List[object] = []
+        # components that sleep through busy stretches and back-fill
+        # their per-cycle samples later (see defer_samples)
+        self._deferred: List["Component"] = []
         # slow-path cycle counter: with the fast path off every
         # registered component ticks every cycle, so per-component tick
         # counts are derived as ``_slow_ticks - _tick_base`` instead of
@@ -342,6 +353,11 @@ class Simulator:
     def telemetry(self, telemetry) -> None:
         self._telemetry = telemetry
         self.telemetering = telemetry is not None
+        if telemetry is not None:
+            # telemetry samples every cycle: a component sleeping
+            # through a stretch must resume its per-cycle tick now
+            for component in self._deferred:
+                component.wake()
 
     @property
     def journey(self):
@@ -402,6 +418,24 @@ class Simulator:
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
+    def defer_samples(self, component: "Component") -> None:
+        """Register a component that batches busy stretches.
+
+        Such a component may sleep through cycles whose per-cycle
+        samples follow from state it stashed at sleep time, and record
+        them when it wakes.  Its ``flush_samples(now)`` must record
+        every deferred sample through cycle ``now - 1``; the simulator
+        calls it at the end of every :meth:`run` / :meth:`run_until`,
+        so statistics read between runs equal the per-cycle path's.
+        Attaching telemetry wakes it, because telemetry samples every
+        cycle.  See docs/kernel.md, "Stretch batching".
+        """
+        self._deferred.append(component)
+
+    def _flush_deferred(self) -> None:
+        for component in self._deferred:
+            component.flush_samples(self.cycle)
+
     def add(self, component: "Component") -> "Component":
         """Register a component; returns it for chaining."""
         from repro.sim.component import Component
@@ -852,6 +886,7 @@ class Simulator:
                     self.cycle = target
                     continue
             step()
+        self._flush_deferred()
 
     def run_for_time(self, seconds: float, clock_hz: float) -> int:
         """Run the number of cycles covering ``seconds`` of wall time at
@@ -882,16 +917,19 @@ class Simulator:
         """
         bound = self.max_cycles if max_cycles is None else self.cycle + max_cycles
         self._stopped = False
-        while not predicate(self):
-            if self._stopped:
-                return self.cycle
-            if self.cycle >= bound:
-                raise SimError(
-                    f"{self.name}: run_until exceeded {bound} cycles "
-                    f"(now {self.cycle})"
-                )
-            self.step()
-        return self.cycle
+        try:
+            while not predicate(self):
+                if self._stopped:
+                    return self.cycle
+                if self.cycle >= bound:
+                    raise SimError(
+                        f"{self.name}: run_until exceeded {bound} cycles "
+                        f"(now {self.cycle})"
+                    )
+                self.step()
+            return self.cycle
+        finally:
+            self._flush_deferred()
 
     def drain(self, idle_predicate: Callable[["Simulator"], bool], patience: int = 64,
               max_cycles: Optional[int] = None) -> int:
@@ -913,3 +951,28 @@ class Simulator:
             f"Simulator({self.name!r}, cycle={self.cycle}, "
             f"components={len(self._components)})"
         )
+
+
+def resolve_engine(engine: Optional[str]) -> str:
+    """Validate an engine name; None means the ambient default
+    (:data:`ENGINE_ENV`, else ``object``), validated the same way."""
+    source = ""
+    if engine is None:
+        engine = os.environ.get(ENGINE_ENV, "object")
+        source = f" (from {ENGINE_ENV})"
+    name = engine.strip().lower()
+    if name not in ENGINES:
+        raise SimError(
+            f"unknown engine {engine!r}{source}: expected one of "
+            f"{', '.join(ENGINES)}"
+        )
+    return name
+
+
+def make_simulator(name: str = "sim", engine: Optional[str] = None,
+                   **kwargs) -> Simulator:
+    """Build a :class:`Simulator` after validating ``engine`` through
+    :func:`resolve_engine`.  Every engine name builds the same
+    simulator; the other keyword arguments pass to its constructor."""
+    resolve_engine(engine)
+    return Simulator(name=name, **kwargs)

@@ -74,27 +74,6 @@ def _percentile(samples: Iterable[float], q: float) -> float:
     return data[lo] + (data[hi] - data[lo]) * (rank - lo)
 
 
-def _log_bucket_array(values: "np.ndarray") -> "np.ndarray":
-    """Vectorized :func:`log_bucket` over a float64 array.
-
-    ``np.frexp`` decomposes IEEE doubles exactly like ``math.frexp``
-    and ``m - 0.5`` / the power-of-two scale are exact float ops, so
-    every element's key equals the scalar function's result.
-    """
-    out = np.zeros(values.shape, dtype=np.int64)
-    nz = values != 0
-    if not nz.any():
-        return out
-    v = values[nz]
-    m, e = np.frexp(np.abs(v))
-    sub = ((m - 0.5) * (2 * _SUBBUCKETS)).astype(np.int64)
-    np.minimum(sub, _SUBBUCKETS - 1, out=sub)
-    key = _BIAS + e.astype(np.int64) * _SUBBUCKETS + sub
-    np.negative(key, out=key, where=v < 0)
-    out[nz] = key
-    return out
-
-
 class StreamingHistogram:
     """A bounded-memory streaming histogram: exact up to a cap.
 
@@ -145,65 +124,41 @@ class StreamingHistogram:
         for v in values:
             self.add(v)
 
-    def add_batch(self, values) -> None:
-        """Fold a whole array of samples in, **bit-identical** to the
-        same sequence of :meth:`add` calls.
+    def add_run(self, value: float, n: int) -> None:
+        """Add ``n`` copies of ``value``, **bit-identical** to ``n``
+        calls of :meth:`add`.
 
-        The one-shot accumulation is only taken when it provably cannot
-        round differently from the sequential path: non-negative
-        integer-valued samples whose running sums stay below 2**53 are
-        associativity-free, so ``sum``/``sumsq`` match exactly (this
-        covers the vec kernels' back-filled parallelism counts and
-        cycle latencies).  Anything else — negatives, fractions, sums
-        near the exact-integer limit — falls back to the per-sample
-        loop rather than risk a divergent float total.
+        The one-shot update is taken only when it cannot round
+        differently from the sequential path: integer-valued samples
+        whose running sums stay below 2**53 are associativity-free, so
+        ``n * value`` lands on exactly the same ``total``/``sumsq``.
+        Fractions, non-finite values and sums near the exact-integer
+        limit fall back to the per-sample loop.
         """
-        if np is None:
-            for v in values:
-                self.add(v)
+        value = float(value)
+        if n <= 0:
             return
-        arr = np.asarray(values, dtype=np.float64).reshape(-1)
-        n = int(arr.size)
-        if n == 0:
-            return
-        if n < 16:
-            # below this, per-sample adds beat the array machinery
-            for v in arr.tolist():
-                self.add(v)
-            return
-        tot = float(arr.sum())
-        ssq = float(np.square(arr).sum())
-        safe = (
-            bool(np.all(arr == np.floor(arr)))
-            and float(arr.min()) >= 0.0
-            and self.total == math.floor(self.total)
-            and self.sumsq == math.floor(self.sumsq)
-            and self.total + tot < _EXACT_SUM_LIMIT
-            and self.sumsq + ssq < _EXACT_SUM_LIMIT
-        )
-        if not safe:
-            for v in arr.tolist():
-                self.add(v)
+        if not (value.is_integer() and self.total.is_integer()
+                and self.sumsq.is_integer()
+                and abs(self.total) + n * abs(value) < _EXACT_SUM_LIMIT
+                and self.sumsq + n * value * value < _EXACT_SUM_LIMIT):
+            for _ in range(n):
+                self.add(value)
             return
         self.count += n
-        self.total += tot
-        self.sumsq += ssq
-        lo, hi = float(arr.min()), float(arr.max())
-        if lo < self._min:
-            self._min = lo
-        if hi > self._max:
-            self._max = hi
-        fill = self.exact_cap - len(self._head)
-        if fill > 0:
-            take = min(fill, n)
-            self._head.extend(arr[:take].tolist())
-            arr = arr[take:]
-        if arr.size:
-            keys, counts = np.unique(_log_bucket_array(arr),
-                                     return_counts=True)
-            buckets = self._buckets
-            for key, cnt in zip(keys.tolist(), counts.tolist()):
-                buckets[key] = buckets.get(key, 0) + cnt
+        self.total += n * value
+        self.sumsq += n * (value * value)
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
+        take = min(self.exact_cap - len(self._head), n)
+        if take > 0:
+            self._head.extend([value] * take)
+            n -= take
+        if n:
+            key = log_bucket(value)
+            self._buckets[key] = self._buckets.get(key, 0) + n
 
     @property
     def exact(self) -> bool:
@@ -347,18 +302,13 @@ class Histogram:
         else:
             self._samples.extend(float(v) for v in values)
 
-    def add_batch(self, values) -> None:
-        """Append an array of samples in one call, bit-identical to
-        per-sample :meth:`add` (the vec kernels' record path)."""
+    def add_run(self, value: float, n: int) -> None:
+        """Add ``n`` copies of ``value``, bit-identical to ``n`` calls
+        of :meth:`add` (the stretch back-fill path)."""
         if self._stream is not None:
-            self._stream.add_batch(values)
-            return
-        if np is None:
-            self._samples.extend(float(v) for v in values)
-            return
-        arr = np.asarray(values, dtype=np.float64).reshape(-1)
-        if arr.size:
-            self._samples.extend(arr.tolist())
+            self._stream.add_run(value, n)
+        elif n > 0:
+            self._samples.extend([float(value)] * n)
 
     @property
     def count(self) -> int:

@@ -2,10 +2,11 @@
 
 The load-bearing contracts from ``docs/observability.md``:
 
-* journey records are **bit-identical** between the object and the vec
-  engine under the same seed (stamp sites live on object-code paths
-  both backends execute at identical cycles — the rule added to
-  :mod:`repro.sim.vec.kernels`);
+* journey records are **bit-identical** across engine names and
+  between the stretch-batched tick of a bare run and the per-cycle
+  tick of an observed one (stamp sites live on routing, grant and
+  delivery paths both execute at identical cycles — see
+  "Stretch batching" in docs/kernel.md);
 * a journeys-off run is bit-identical to a pre-journey run (the stats
   fingerprint must not move when a recorder attaches);
 * sampling is a pure function of ``(seed, mid)`` — same records on
@@ -36,7 +37,7 @@ from repro.obs.journey import (
     sampled,
 )
 from repro.sim import Tracer
-from repro.sim.vec import make_simulator
+from repro.sim import make_simulator
 from tests.faults.scenarios import fault_scenario
 
 ALL_ARCHS = ("dynoc", "staticmesh", "sharedbus", "buscom", "rmboc",
@@ -167,6 +168,10 @@ def test_journey_records_identical_across_engines(key):
     vec = _drive(key, "vec")
     assert _journey_fp(obj) == _journey_fp(vec)
     assert _stats_fp(obj) == _stats_fp(vec)
+    # telemetry keeps every tick per-cycle; the bare runs batch stretches
+    observed = _drive(key, "object", telemetry=True)
+    assert _journey_fp(observed) == _journey_fp(obj)
+    assert _stats_fp(observed) == _stats_fp(obj)
 
 
 @pytest.mark.parametrize("key", ("dynoc", "rmboc"))

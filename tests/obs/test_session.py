@@ -1,9 +1,11 @@
 """ObservationSession: construction-hook attach/restore semantics."""
 
+import os
+
 import pytest
 
 from repro.obs import ObservationSession, observe_named
-from repro.sim import Simulator
+from repro.sim import ENGINE_ENV, SimError, Simulator, make_simulator
 from repro.sim.engine import set_new_sim_hook
 
 
@@ -74,6 +76,25 @@ class TestHookLifecycle:
             sim.span_event("s", "k", 0, 1)
         assert obs.total_events() == 1
         assert obs.total_spans() == 1
+
+
+class TestEngineValidation:
+    """The session validates engine names exactly like make_simulator:
+    case-insensitively, with SimError for unknown names."""
+
+    def test_accepts_what_make_simulator_accepts(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        make_simulator(engine="VEC")
+        with ObservationSession(trace=False, engine="VEC") as obs:
+            assert os.environ[ENGINE_ENV] == "vec"
+        assert obs.engine == "vec"
+        assert ENGINE_ENV not in os.environ
+
+    def test_rejects_what_make_simulator_rejects(self):
+        with pytest.raises(SimError, match="vce"):
+            make_simulator(engine="vce")
+        with pytest.raises(SimError, match="vce"):
+            ObservationSession(engine="vce")
 
 
 class TestObserveNamed:

@@ -291,3 +291,60 @@ class TestBucketedHistogramMode:
         assert snap["e"] == [1.0]
         assert isinstance(snap["b"], dict)
         assert snap["b"]["count"] == 1
+
+
+class TestAddRun:
+    """``add_run(value, n)`` is bit-identical to ``n`` calls of ``add``
+    — the contract stretch back-fill relies on."""
+
+    @staticmethod
+    def _pair(cap=8):
+        from repro.sim.stats import StreamingHistogram
+
+        return StreamingHistogram(cap), StreamingHistogram(cap)
+
+    @staticmethod
+    def _same(run, seq):
+        # repr keeps NaN comparable and tells 0.0 from -0.0
+        assert repr(run.as_dict()) == repr(seq.as_dict())
+
+    def _check(self, steps, cap=8, prefix=()):
+        run, seq = self._pair(cap)
+        for h in (run, seq):
+            h.extend(prefix)
+        for value, n in steps:
+            run.add_run(value, n)
+            for _ in range(n):
+                seq.add(value)
+            self._same(run, seq)
+
+    def test_crosses_exact_cap(self):
+        self._check([(3, 5), (2, 6), (7, 1)], cap=8)
+
+    def test_bucketed_tail(self):
+        self._check([(1, 4), (5, 1000), (1, 3), (12, 40)], cap=4)
+
+    def test_zero_and_negative_lengths_are_noops(self):
+        self._check([(4, 0), (4, -3)])
+
+    @pytest.mark.parametrize("value", (0.5, 1e-3, -2.25, -0.0))
+    def test_fallback_for_non_integer_values(self, value):
+        self._check([(2, 3), (value, 20), (2, 2)])
+
+    def test_fallback_near_exact_sum_limit(self):
+        big = float(2 ** 52)
+        self._check([(big, 3), (1, 5)], prefix=(big,))
+        self._check([(2 ** 26 + 1, 40)])  # sumsq past 2**53
+
+    def test_fallback_on_fractional_running_sum(self):
+        self._check([(3, 10)], prefix=(0.1,))
+
+    @pytest.mark.parametrize("mode", ("exact", "bucketed"))
+    def test_histogram_modes(self, mode):
+        run = Histogram("r", mode=mode, exact_cap=6)
+        seq = Histogram("s", mode=mode, exact_cap=6)
+        for value, n in ((2, 4), (1, 9), (2.5, 3)):
+            run.add_run(value, n)
+            for _ in range(n):
+                seq.add(value)
+        assert repr(run._snapshot_state()) == repr(seq._snapshot_state())
